@@ -60,4 +60,10 @@ python examples/continuum_chaos.py
 echo "elasticity smoke: examples/elastic_fanin.py"
 python examples/elastic_fanin.py
 
+# host-time benchmark self-test (perfbench/NOTES.md): tiny workloads
+# must reproduce the reference digests, the traced run must match the
+# untraced one, and injected faults (a dropped record, a wrong answer)
+# must be detected
+python3 perfbench/selftest.py
+
 python scripts/run_benchmarks.py --quick

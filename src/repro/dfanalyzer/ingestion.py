@@ -9,7 +9,8 @@ Accepts both wire formats that exist in this reproduction:
 normalizing them into three storage families:
 
 * ``dataflows`` — begin/end events per dataflow;
-* ``tasks`` — one row per task, upserted RUNNING -> FINISHED;
+* ``tasks`` — one row per task, upserted RUNNING -> FINISHED through a
+  hash index on ``(dataflow_tag, task_id)``;
 * ``datasets`` — one row per data item with attribute columns, which is
   what the paper's hyperparameter queries run against.
 """
@@ -31,6 +32,10 @@ class IngestError(ValueError):
     """Payload not recognized as DfAnalyzer provenance."""
 
 
+#: the ``tasks`` index a task end is resolved through
+TASK_KEY = ("dataflow_tag", "task_id")
+
+
 class DfAnalyzerService:
     """The storage/query component of DfAnalyzer (paper Section V-A).
 
@@ -43,7 +48,7 @@ class DfAnalyzerService:
         self.store.create_table(
             "dataflows", ["dataflow_tag", "event", "time"]
         )
-        self.store.create_table(
+        tasks = self.store.create_table(
             "tasks",
             [
                 "dataflow_tag",
@@ -55,6 +60,7 @@ class DfAnalyzerService:
                 "dependencies",
             ],
         )
+        tasks.create_index(*TASK_KEY)
         self.store.create_table(
             "datasets",
             ["dataflow_tag", "task_id", "dataset_tag", "direction", "derivations"],
@@ -92,10 +98,18 @@ class DfAnalyzerService:
     def _ingest_task(self, record: Dict[str, Any]) -> None:
         tasks = self.store.table("tasks")
         key_df, key_task = record["dataflow_tag"], record["task_id"]
+        try:
+            hash((key_df, key_task))
+        except TypeError:
+            raise IngestError(
+                f"task key must be hashable: {(key_df, key_task)!r}"
+            ) from None
         status = record.get("status", "RUNNING")
         if status == "FINISHED":
-            updated = tasks.update_where(
-                lambda row: row["dataflow_tag"] == key_df and row["task_id"] == key_task,
+            # every row under the key is updated (fan-in devices share ids)
+            updated = tasks.update_by(
+                TASK_KEY,
+                (key_df, key_task),
                 {"status": "FINISHED", "time_end": record.get("time")},
             )
             if not updated:  # end arrived before begin (grouping reorders)

@@ -3,8 +3,8 @@
 These target the data structures and protocols whose correctness the
 evaluation numbers silently depend on: the simulation kernel's clock and
 stores, TCP stream integrity under arbitrary chunking, topic matching,
-the grouping buffer's no-loss invariant, and the query engine against a
-reference implementation.
+the grouping buffer's no-loss invariant, and the query engine and the
+indexed task upsert against reference implementations.
 """
 
 import numpy as np
@@ -391,6 +391,58 @@ def test_query_order_limit_matches_reference(rows, k):
     )
     expected = sorted((r["value"] for r in rows), reverse=True)[:k]
     assert measured == expected
+
+
+# -- DfAnalyzer task upserts: indexed service vs reference scan ----------------
+
+# ids that are equal across types (0 == False, 1 == 1.0 == True) but not
+# to their strings, so the index must match exactly as ``==`` does
+task_keys = st.tuples(
+    st.sampled_from(["a", "b", None]),
+    st.sampled_from([None, 0, 1, 1.0, True, False, "0", "1"]),
+)
+
+
+def reference_task_upserts(events):
+    """The scan-based upsert the ``tasks`` index replaced."""
+    rows = []
+    for i, (flow, tid, status) in enumerate(events):
+        time = float(i)
+        if status == "FINISHED":
+            hits = [r for r in rows if r["dataflow_tag"] == flow and r["task_id"] == tid]
+            for row in hits:
+                row.update(status="FINISHED", time_end=time)
+            if hits:
+                continue
+            rows.append({"dataflow_tag": flow, "task_id": tid, "status": status,
+                         "time_begin": None, "time_end": time})
+        else:
+            rows.append({"dataflow_tag": flow, "task_id": tid, "status": status,
+                         "time_begin": time, "time_end": None})
+    return rows
+
+
+@given(st.lists(task_keys, max_size=25), st.data())
+@settings(max_examples=150, deadline=None)
+def test_indexed_task_upserts_match_reference_scan(keys, data):
+    from repro.dfanalyzer import DfAnalyzerService
+
+    events = data.draw(st.permutations(
+        [(flow, tid, status) for flow, tid in keys for status in ("RUNNING", "FINISHED")]
+    ))
+    service = DfAnalyzerService()
+    for i, (flow, tid, status) in enumerate(events):
+        service.ingest({"type": "task", "dataflow_tag": flow, "task_id": tid,
+                        "transformation_tag": "t", "status": status, "time": float(i)})
+    expected = reference_task_upserts(events)
+    tasks = service.store.table("tasks")
+    assert len(tasks) == len(expected)
+    for name in ("dataflow_tag", "task_id", "status", "time_begin", "time_end"):
+        measured = tasks.column(name)
+        assert measured == [r[name] for r in expected], name
+        assert [type(v) for v in measured] == [type(r[name]) for r in expected], name
+    assert tasks.column("transformation_tag") == ["t"] * len(expected)
+    assert tasks.column("dependencies") == [""] * len(expected)
 
 
 # -- statistics: CI contains the mean; overhead sign ----------------------------
