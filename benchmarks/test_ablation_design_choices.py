@@ -13,7 +13,8 @@ import numpy as np
 from conftest import bench_repetitions, run_once
 
 from repro.baselines.ablations import SyncHttpProvLightClient, VerboseModelProvLightClient
-from repro.core import CallableBackend, ProvLightClient, ProvLightServer
+from repro.capture import CaptureConfig, create_client
+from repro.core import CallableBackend, ProvLightServer
 from repro.device import A8M3, Device
 from repro.http import HttpResponse, HttpServer
 from repro.metrics import mean_ci, render_table
@@ -40,15 +41,15 @@ def _run_variant(variant: str, seed: int):
                                        rng=np.random.default_rng(seed), result=result))
     else:
         server = ProvLightServer(net.hosts["cloud"], CallableBackend(lambda r: None))
-        kwargs = {}
-        cls = ProvLightClient
+        config = CaptureConfig()
+        build = create_client
         if variant == "no-compression":
-            kwargs["compress"] = False
+            config = config.with_(compress=False)
         elif variant == "grouping-50":
-            kwargs["group_size"] = 50
+            config = config.with_(group_size=50)
         elif variant == "verbose-model":
-            cls = VerboseModelProvLightClient
-        client = cls(dev, server.endpoint, "abl/edge", **kwargs)
+            build = VerboseModelProvLightClient
+        client = build(dev, server.endpoint, "abl/edge", config)
 
         def scenario(env):
             yield from server.add_translator("abl/#")

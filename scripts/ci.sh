@@ -21,7 +21,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 # static reproducibility lint (AST determinism/hazard checks; see
 # docs/static-analysis.md for the rule catalog and suppression grammar)
-python scripts/lint.py src tests --format=text
+python scripts/lint.py src tests examples benchmarks --format=text
 
 # the suite runs under the simkernel runtime hazard detector: every
 # Environment() is a DebugEnvironment, so cross-environment events,

@@ -13,17 +13,17 @@ the ablation benchmark can toggle them one at a time:
 * :class:`VerboseModelProvLightClient` — ProvLight's transport, but
   records are built through a heavyweight PROV-document path and carry
   the un-simplified attribute layout.  Isolates the simplified model.
-* compression and grouping are first-class flags of the real client
-  (``compress=``, ``group_size=``) and need no variant class.
+* compression and grouping are first-class fields of
+  :class:`~repro.capture.CaptureConfig` (``compress``, ``group_size``)
+  and need no variant class.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from ..calibration import MEMORY_FOOTPRINTS, PROVLAKE_COSTS
 from ..capture import CaptureClient, CaptureConfig
-from ..core.client import ProvLightClient
 from ..core.model import count_attributes_from_record
 from ..device import Device
 from ..net import Endpoint
@@ -35,8 +35,10 @@ __all__ = ["SyncHttpProvLightClient", "VerboseModelProvLightClient"]
 class SyncHttpProvLightClient(CaptureClient):
     """ProvLight's compact payloads over the baselines' blocking HTTP.
 
-    A shim constructing the shared façade with the ``http`` transport:
-    client-side record building, encoding and memory accounting keep
+    The shared façade over a blocking HTTP POST transport with its own
+    user agent and resource path, so the ablation's request bytes stay
+    fixed whatever ``create_client(transport="http")`` sends.
+    Client-side record building, encoding and memory accounting keep
     ProvLight's cheap simplified-model costs; what changes is the
     transport: one synchronous request/response cycle per message over
     TCP, paying connection latency on the workflow's critical path.  The
@@ -61,7 +63,7 @@ class SyncHttpProvLightClient(CaptureClient):
         return False
 
 
-class VerboseModelProvLightClient(ProvLightClient):
+class VerboseModelProvLightClient(CaptureClient):
     """ProvLight's transport with a heavyweight provenance data model.
 
     Records pass through a full PROV-document construction (charged at the
@@ -70,8 +72,9 @@ class VerboseModelProvLightClient(ProvLightClient):
     paper's *simplified data model* buys on top of the protocol.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, device: Device, server: Endpoint, topic: str,
+                 config: Optional[CaptureConfig] = None):
+        super().__init__(device, server, topic, config)
         # the heavyweight model's resident footprint matches the baselines'
         extra = MEMORY_FOOTPRINTS.provlake_lib_bytes - self.footprints.provlight_lib_bytes
         self.device.memory.allocate(extra, tag="capture-static")

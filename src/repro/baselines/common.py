@@ -11,9 +11,9 @@ The wire mechanics of that pattern (the keep-alive session, the error
 swallowing, the radio-listen energy accounting) live in one place:
 :class:`HttpPostCaptureTransport`, which doubles as the registered
 ``http`` transport of the unified capture API — so the baselines here,
-the ``SyncHttpProvLightClient`` ablation and
-``create_client(..., transport="http")`` all exercise the same blocking
-POST path.
+the ``SyncHttpProvLightClient`` ablation (its own instance, with its own
+user agent and path) and ``create_client(..., transport="http")`` all
+exercise the same blocking POST path.
 
 The classes here also define the uniform capture-client interface that
 lets one instrumented workload run against any capture system (ProvLight,

@@ -6,9 +6,9 @@ encoding + compression, per-message memory accounting, the background
 sender loop and the ``flush_groups()/drain()/close()`` semantics — and
 delegates only the wire to a pluggable
 :class:`~repro.capture.CaptureTransport`.  The MQTT-SN, CoAP and
-blocking-HTTP capture clients are thin shims over this class, so any
-measured difference between them is attributable to the protocol alone
-(the design property behind the protocol-comparison benchmark).
+blocking-HTTP capture clients are this class with a different transport,
+so any measured difference between them is attributable to the protocol
+alone (the design property behind the protocol-comparison benchmark).
 
 Blocking transports (``transport.blocking``) are serviced inline: each
 send is awaited on the workflow's critical path, reproducing the
@@ -31,10 +31,12 @@ left behind by a crashed client is replayed by the next ``setup()``.
 
 from __future__ import annotations
 
-import random
-import zlib
 from typing import Any, Dict, List, Optional
 
+from ..core.grouping import GroupBuffer
+from ..core.model import count_attributes_from_record
+from ..core.resilience import RetryPolicy
+from ..core.serialization import encode_payload
 from ..simkernel import Counter, Store
 from .config import CaptureConfig
 from .envelope import wrap_payload
@@ -60,29 +62,6 @@ STATE_CONNECTED = "connected"
 STATE_RECONNECTING = "reconnecting"
 STATE_CLOSED = "closed"
 
-# Late-bound repro.core imports: core.client subclasses CaptureClient, so
-# importing core here at module time would be circular whichever package
-# is imported first.  Bound once, at the first client construction.
-_core_loaded = False
-_GroupBuffer = None
-_encode_payload = None
-_count_attributes_from_record = None
-
-
-def _load_core() -> None:
-    global _core_loaded, _GroupBuffer, _encode_payload, _count_attributes_from_record
-    if _core_loaded:
-        return
-    from ..core.grouping import GroupBuffer
-    from ..core.model import count_attributes_from_record
-    from ..core.serialization import encode_payload
-
-    _GroupBuffer = GroupBuffer
-    _encode_payload = encode_payload
-    _count_attributes_from_record = count_attributes_from_record
-    _core_loaded = True
-
-
 class CaptureClosedError(RuntimeError):
     """The capture client was closed; pending drains fail with this."""
 
@@ -101,10 +80,10 @@ class CaptureSenderError(RuntimeError):
 class CaptureClient:
     """Capture client bound to one device, shipping to one topic.
 
-    Build instances through :func:`repro.capture.create_client` (or a
-    compatibility shim like ``ProvLightClient``); passing an explicit
-    ``transport`` bypasses the registry, which the shims use to expose
-    protocol-specific knobs.
+    Build instances through :func:`repro.capture.create_client`.
+    Passing an explicit ``transport`` bypasses the registry; the
+    ``SyncHttpProvLightClient`` ablation uses it to fix its own user
+    agent and resource path.
     """
 
     def __init__(
@@ -115,7 +94,6 @@ class CaptureClient:
         config: Optional[CaptureConfig] = None,
         transport: Optional[CaptureTransport] = None,
     ):
-        _load_core()
         if device.host is None:
             raise RuntimeError(
                 f"device {device.name} is not attached to a network host"
@@ -130,7 +108,7 @@ class CaptureClient:
         self.cipher = config.cipher
         self.costs = config.costs
         self.footprints = config.footprints
-        self.group_buffer = _GroupBuffer(config.group_size)
+        self.group_buffer = GroupBuffer(config.group_size)
         #: stable identity: journal file, envelope dedup key, backoff seed
         self.client_id = config.client_id or f"{device.name}/{topic}"
         if transport is None:
@@ -166,7 +144,16 @@ class CaptureClient:
         self._recovery = None  # the reconnect state-machine process
         self._sender_failure: Optional[BaseException] = None
         self._sender_item = None  # item the sender holds while in flight
-        self._rng = random.Random(zlib.crc32(self.client_id.encode("utf-8")))
+        #: reconnect and sender-restart backoff; seeding the jitter from
+        #: the client id de-synchronises a fleet of clients reconnecting
+        #: after the same partition heals, identically on every run
+        self.reconnect_policy = RetryPolicy(
+            base_s=config.reconnect_base_s,
+            factor=config.reconnect_factor,
+            max_s=config.reconnect_max_s,
+            jitter=config.reconnect_jitter,
+            seed_key=self.client_id,
+        )
         device.memory.allocate(config.footprints.provlight_lib_bytes,
                                tag="capture-static")
         self._sender = None
@@ -232,7 +219,7 @@ class CaptureClient:
         if not self._ready and self.transport.requires_setup:
             raise RuntimeError("capture before setup()")
         self.records_captured.record()
-        n_attrs = _count_attributes_from_record(record)
+        n_attrs = count_attributes_from_record(record)
         costs = self.costs
         cpu_run = self.device.cpu.run
         if groupable and self.group_buffer.enabled:
@@ -253,7 +240,7 @@ class CaptureClient:
                 tag="capture",
             )
             yield from self._dispatch(
-                _encode_payload(record, compress=self.compress, cipher=self.cipher)
+                encode_payload(record, compress=self.compress, cipher=self.cipher)
             )
 
     def flush_groups(self):
@@ -364,7 +351,7 @@ class CaptureClient:
             tag="capture",
         )
         yield from self._dispatch(
-            _encode_payload(group, compress=self.compress, cipher=self.cipher)
+            encode_payload(group, compress=self.compress, cipher=self.cipher)
         )
 
     def _dispatch(self, payload: bytes):
@@ -428,7 +415,7 @@ class CaptureClient:
                         self._mark_failed(wire, nbytes, seq)
                     else:
                         self._complete(wire, nbytes, seq, delivered=False)
-                yield self.env.timeout(self._backoff_delay(0))
+                yield self.env.timeout(self.reconnect_policy.delay(0))
                 continue
             if finished:
                 return
@@ -511,7 +498,7 @@ class CaptureClient:
         attempt = 0
         while not self._closed:
             if not established:
-                yield self.env.timeout(self._backoff_delay(attempt))
+                yield self.env.timeout(self.reconnect_policy.delay(attempt))
                 attempt += 1
                 if self._closed:
                     return
@@ -542,18 +529,6 @@ class CaptureClient:
         if gate is not None:
             gate.succeed()  # resume the parked sender
         self._set_state(STATE_CONNECTED)
-
-    def _backoff_delay(self, attempt: int) -> float:
-        config = self.config
-        delay = min(
-            config.reconnect_max_s,
-            config.reconnect_base_s * (config.reconnect_factor ** attempt),
-        )
-        if config.reconnect_jitter:
-            # deterministic per-client jitter de-synchronises a fleet of
-            # clients reconnecting after the same partition heals
-            delay *= 1.0 + config.reconnect_jitter * (2.0 * self._rng.random() - 1.0)
-        return max(delay, 1e-9)
 
     def __repr__(self) -> str:
         return (

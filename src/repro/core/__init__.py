@@ -2,12 +2,12 @@
 
 User-facing capture model (``Workflow``/``Task``/``Data`` per PROV-DM),
 binary serialization with compression, optional grouping of ended-task
-records, an asynchronous MQTT-SN capture client, and the server side
+records, the asynchronous MQTT-SN capture transport, and the server side
 (broker + a sharded pool of provenance translators with pluggable
 backends).
 """
 
-from .client import MqttSnCaptureTransport, ProvLightClient
+from .client import MqttSnCaptureTransport
 from .grouping import GroupBuffer
 from .model import (
     Data,
@@ -57,7 +57,6 @@ __all__ = [
     "count_attributes",
     "count_attribute_values",
     "count_attributes_from_record",
-    "ProvLightClient",
     "MqttSnCaptureTransport",
     "ProvLightServer",
     "TranslatorPool",

@@ -1,5 +1,4 @@
-"""The ProvLight capture client: the ``mqttsn`` transport adapter plus
-the classic ``ProvLightClient`` entry point.
+"""The ProvLight capture client's ``mqttsn`` transport adapter.
 
 This is the paper's core contribution: a capture library whose critical
 path (what the instrumented workflow waits on) is only
@@ -10,12 +9,12 @@ path (what the instrumented workflow waits on) is only
 
 That shared critical path now lives in
 :class:`repro.capture.CaptureClient`; this module contributes only the
-protocol-specific part — :class:`MqttSnCaptureTransport`, a thin adapter
+protocol-specific part: :class:`MqttSnCaptureTransport`, a thin adapter
 over :class:`~repro.mqttsn.MqttSnClient` driving the MQTT-SN QoS 2
 exchange in the background so network latency, bandwidth and the broker
-never delay the workflow (the design property behind Tables VII/VIII)
-— and :class:`ProvLightClient`, the compatibility shim that constructs
-the façade with this transport.
+never delay the workflow (the design property behind Tables VII/VIII).
+Build a client with :func:`repro.capture.create_client`; ``mqttsn`` is
+the default transport of :class:`~repro.capture.CaptureConfig`.
 
 Costs are charged per :mod:`repro.calibration`; payload bytes are real
 (actual codec + zlib output), so network numbers are emergent.
@@ -26,16 +25,16 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from ..calibration import MEMORY_FOOTPRINTS, PROVLIGHT_COSTS, MemoryFootprints, ProvLightCosts
-from ..capture import CaptureClient, CaptureConfig, CaptureTransport, register_transport
+# the capture submodules, not the package: repro.capture.client imports
+# repro.core, so the package may still be initialising when this runs
+from ..capture.config import CaptureConfig
+from ..capture.registry import register_transport
+from ..capture.transport import CaptureTransport
 from ..device import Device
 from ..mqttsn import MqttSnClient
 from ..net import Endpoint
-# re-export: the Table I attribute-count semantics live in core.model now,
-# but a long tail of callers imports the record-shaped helper from here
-from .model import count_attributes_from_record  # noqa: F401
 
-__all__ = ["ProvLightClient", "MqttSnCaptureTransport", "count_attributes_from_record"]
+__all__ = ["MqttSnCaptureTransport"]
 
 _client_ids = itertools.count(1)
 
@@ -78,49 +77,3 @@ class MqttSnCaptureTransport(CaptureTransport):
 
 register_transport("mqttsn", MqttSnCaptureTransport)
 
-
-class ProvLightClient(CaptureClient):
-    """Capture client bound to one device, publishing to one topic.
-
-    Compatibility shim over :class:`~repro.capture.CaptureClient` with
-    the ``mqttsn`` transport: existing instrumentation, the paper-table
-    harness and the examples run unchanged, while new code should prefer
-    :func:`repro.capture.create_client`.
-    """
-
-    def __init__(
-        self,
-        device: Device,
-        broker: Endpoint,
-        topic: str,
-        group_size: int = 0,
-        compress: bool = True,
-        qos: int = 2,
-        costs: ProvLightCosts = PROVLIGHT_COSTS,
-        footprints: MemoryFootprints = MEMORY_FOOTPRINTS,
-        client_id: Optional[str] = None,
-        cipher=None,
-    ):
-        config = CaptureConfig(
-            transport="mqttsn",
-            group_size=group_size,
-            compress=compress,
-            qos=qos,
-            cipher=cipher,
-            client_id=client_id,
-            costs=costs,
-            footprints=footprints,
-        )
-        super().__init__(device, broker, topic, config)
-
-    @property
-    def mqtt(self) -> MqttSnClient:
-        """The underlying MQTT-SN client (tests tune its retry knobs)."""
-        return self.transport.mqtt
-
-    @property
-    def topic_id(self) -> Optional[int]:
-        return self.transport.topic_id
-
-    def __repr__(self) -> str:
-        return f"<ProvLightClient {self.topic} on {self.device.name}>"

@@ -49,7 +49,6 @@ __all__ = [
     "decode_value",
     "encode_payload",
     "decode_payload",
-    "wire_overhead_bytes",
     "VERSION",
     "VERSION_1",
     "VERSION_2",
@@ -121,11 +120,6 @@ _HEADERS = {
 
 class CodecError(ValueError):
     """Encoding/decoding failure."""
-
-
-def wire_overhead_bytes() -> int:
-    """Fixed framing overhead per payload."""
-    return HEADER_SIZE
 
 
 # -- varints ------------------------------------------------------------------

@@ -17,8 +17,8 @@ Two layers of the server shard by consistent hashing (the same ring,
   across K workers, each owning one MQTT-SN subscriber client and
   draining its inbox in batches.  A thousand device topics therefore
   cost K subscriber clients, not a thousand.
-  :meth:`ProvLightServer.add_translator` is kept as the compatibility
-  entry point: it attaches one topic filter to the pool.  The pool is
+  :meth:`ProvLightServer.add_translator` attaches one topic filter to
+  the pool, so deployment code need not know the pool.  The pool is
   **elastic** when ``min_workers < max_workers``: a
   :class:`PoolAutoscaler` watches sustained inbox depth and grows or
   shrinks the worker count, re-homing each moved topic range through
@@ -38,8 +38,6 @@ when present.
 from __future__ import annotations
 
 import json
-import random
-import zlib
 from collections import deque
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -345,7 +343,13 @@ class _TranslatorWorker:
         self._inflight: List[Tuple[str, bytes]] = []
         self._pending_get = None
         self._batches_completed = 0
-        self._rng = random.Random(zlib.crc32(f"translator-{index}".encode()))
+        #: restart backoff (mirroring the capture client's sender
+        #: supervision); the per-worker jitter seed de-synchronises a pool
+        #: whose workers all crashed on the same backend fault
+        self.restart_policy = RetryPolicy(
+            base_s=0.05, factor=2.0, max_s=2.0, jitter=0.1,
+            seed_key=f"translator-{index}",
+        )
         self._process = self.env.process(
             self._supervised_loop(), name=f"translator-{index}"
         )
@@ -437,23 +441,6 @@ class _TranslatorWorker:
         return len(self._inbox.items) + len(self._requeue)
 
     # -- supervision -------------------------------------------------------
-    #: restart backoff knobs (mirroring the capture client's sender
-    #: supervision); per-instance overridable for tests
-    restart_base_s = 0.05
-    restart_factor = 2.0
-    restart_max_s = 2.0
-    restart_jitter = 0.1
-
-    def _restart_delay(self, attempt: int) -> float:
-        delay = min(
-            self.restart_max_s, self.restart_base_s * (self.restart_factor ** attempt)
-        )
-        if self.restart_jitter:
-            # deterministic per-worker jitter de-synchronises a pool whose
-            # workers all crashed on the same backend fault
-            delay *= 1.0 + self.restart_jitter * (2.0 * self._rng.random() - 1.0)
-        return max(delay, 1e-9)
-
     def _supervised_loop(self):
         attempt = 0
         while True:
@@ -465,7 +452,7 @@ class _TranslatorWorker:
                 self.crashes.record()
                 self.last_failure = exc
                 self._recover_inflight()
-                delay = self._restart_delay(attempt)
+                delay = self.restart_policy.delay(attempt)
                 attempt += 1
                 if self._batches_completed:
                     # progress since the last crash: treat this one as
@@ -1016,7 +1003,7 @@ class ProvLightServer:
     def add_translator(self, topic_filter: str):
         """Generator: attach ``topic_filter`` to the translator pool.
 
-        Compatibility shim for the paper's one-translator-per-topic
+        The entry point for the paper's one-translator-per-topic
         deployment scripts: call once per device topic, exactly as the
         scalability experiment does (translator-1..64).  Topics shard
         onto the pool's fixed workers instead of spawning new processes.

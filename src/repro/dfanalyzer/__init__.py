@@ -1,5 +1,5 @@
 """DfAnalyzer-style provenance backend: columnar storage, dataflow
-specifications, runtime ingestion (in-process and RESTful) and a query
+specifications, runtime ingestion and a query
 engine including the paper's FL analysis queries.
 
 The paper uses only DfAnalyzer's storage/query components (its capture
@@ -8,7 +8,7 @@ translator output into this service.
 """
 
 from .dataflow import AttributeSpec, DataflowSpec, DatasetSpec, TransformationSpec
-from .ingestion import DfAnalyzerHttpService, DfAnalyzerService, IngestError
+from .ingestion import DfAnalyzerService, IngestError
 from .queries import lineage_of, latest_epoch_metrics, task_durations, top_k_by_metric
 from .query import AGGREGATES, Query, QueryError
 from .store import ColumnStore, StoreError, Table
@@ -25,7 +25,6 @@ __all__ = [
     "TransformationSpec",
     "AttributeSpec",
     "DfAnalyzerService",
-    "DfAnalyzerHttpService",
     "IngestError",
     "top_k_by_metric",
     "latest_epoch_metrics",

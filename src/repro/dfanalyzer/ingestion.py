@@ -17,7 +17,6 @@ normalizing them into three storage families:
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from ..simkernel import Counter
@@ -25,7 +24,7 @@ from .dataflow import DataflowSpec
 from .query import Query
 from .store import ColumnStore
 
-__all__ = ["DfAnalyzerService", "DfAnalyzerHttpService", "IngestError"]
+__all__ = ["DfAnalyzerService", "IngestError"]
 
 
 class IngestError(ValueError):
@@ -234,29 +233,3 @@ class DfAnalyzerService:
             else None,
         }
 
-
-class DfAnalyzerHttpService:
-    """RESTful facade: POST JSON provenance to ``/pde``-style endpoints."""
-
-    def __init__(self, host, port: int, service: DfAnalyzerService, workers: int = 8):
-        from ..http import HttpResponse, HttpServer
-
-        self.service = service
-
-        def handler(request):
-            if request.method != "POST":
-                return HttpResponse(status=405, reason="Method Not Allowed")
-            try:
-                payload = json.loads(request.body.decode() or "null")
-                count = self.service.ingest(payload)
-            except (ValueError, IngestError) as exc:
-                return HttpResponse(status=400, reason="Bad Request",
-                                    body=str(exc).encode())
-            return HttpResponse(status=201, reason="Created",
-                                body=json.dumps({"ingested": count}).encode())
-
-        self.server = HttpServer(host, port, handler, workers=workers)
-
-    @property
-    def endpoint(self):
-        return (self.server.host.name, self.server.port)

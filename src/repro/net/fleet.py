@@ -36,12 +36,13 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..core.resilience import RetryPolicy
+
 __all__ = ["FleetFaultInjector", "FleetClientProxy"]
 
-#: restart setup() retry backoff: base * factor**attempt, capped
-_SETUP_RETRY_BASE_S = 0.2
-_SETUP_RETRY_FACTOR = 1.6
-_SETUP_RETRY_MAX_S = 2.0
+#: restart setup() retry backoff: base * factor**attempt, capped, no
+#: jitter (so the shared instance draws nothing)
+_SETUP_RETRY = RetryPolicy(base_s=0.2, factor=1.6, max_s=2.0, jitter=0.0)
 
 
 class FleetClientProxy:
@@ -223,12 +224,7 @@ class FleetFaultInjector:
                 break
             except Exception:
                 attempt += 1
-                yield self.env.timeout(
-                    min(
-                        _SETUP_RETRY_MAX_S,
-                        _SETUP_RETRY_BASE_S * _SETUP_RETRY_FACTOR ** attempt,
-                    )
-                )
+                yield self.env.timeout(_SETUP_RETRY.delay(attempt))
         self._clients[name] = client
         if recovering:
             self.journal_recoveries += 1

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.ablations import SyncHttpProvLightClient, VerboseModelProvLightClient
-from repro.core import CallableBackend, ProvLightClient, ProvLightServer, decode_payload
+from repro.capture import CaptureConfig, create_client
+from repro.core import CallableBackend, ProvLightServer, decode_payload
 from repro.device import A8M3, Device
 from repro.http import HttpResponse, HttpServer
 from repro.net import Network
@@ -48,8 +49,8 @@ def run_real(group_size=0, verbose=False):
     net.connect("edge", "cloud", bandwidth_bps=1e9, latency_s=0.023)
     sink = []
     server = ProvLightServer(net.hosts["cloud"], CallableBackend(sink.extend))
-    cls = VerboseModelProvLightClient if verbose else ProvLightClient
-    client = cls(dev, server.endpoint, "abl/edge", group_size=group_size)
+    build = VerboseModelProvLightClient if verbose else create_client
+    client = build(dev, server.endpoint, "abl/edge", CaptureConfig(group_size=group_size))
     result = {}
 
     def scenario(env):

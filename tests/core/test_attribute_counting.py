@@ -64,9 +64,10 @@ def test_count_attributes_from_record_matches_item_count():
 
 
 def test_single_implementation_everywhere():
-    """The legacy import paths must all resolve to the model helper."""
-    from repro.core import client as core_client
+    """The capture façade and the baselines both count through the model
+    helper."""
     from repro.baselines import common as baselines_common
+    from repro.capture import client as capture_client
 
-    assert core_client.count_attributes_from_record is count_attributes_from_record
+    assert capture_client.count_attributes_from_record is count_attributes_from_record
     assert baselines_common.count_attributes_from_record is count_attributes_from_record

@@ -303,7 +303,8 @@ def make_server_world(seed=7, workers=2):
 
 
 def test_crashed_worker_restarts_and_requeues():
-    from repro.core import Data, ProvLightClient, Task, Workflow
+    from repro.capture import create_client
+    from repro.core import Data, Task, Workflow
 
     env, net, server, received = make_server_world()
     worker_holder = {}
@@ -311,7 +312,7 @@ def test_crashed_worker_restarts_and_requeues():
     def scenario(env):
         worker = yield from server.add_translator("conf/#")
         worker_holder["w"] = worker
-        client = ProvLightClient(
+        client = create_client(
             net.hosts["edge"].device, server.endpoint, "conf/edge/data"
         )
         yield from client.setup()
@@ -344,7 +345,7 @@ def test_crashed_worker_restarts_and_requeues():
 def test_repeated_crashes_escalate_then_reset_backoff():
     env, net, server, received = make_server_world(workers=1)
     worker = server.pool.workers[0]
-    worker.restart_jitter = 0.0
+    worker.restart_policy.jitter = 0.0
 
     def chaos(env):
         for _ in range(3):
@@ -358,3 +359,44 @@ def test_repeated_crashes_escalate_then_reset_backoff():
     # worker comes back once, not once per overlapping crash
     assert worker.restarts.count == 1
     assert worker.last_failure is not None
+
+
+#: the first six backoff delays of each supervised loop, bit for bit:
+#: a changed seed key, formula or draw order moves a seeded run, so it
+#: must show up here first
+GOLDEN_BACKOFFS = {
+    # default CaptureConfig, client id "edge-dev/provlight/edge/data"
+    "capture-client": [
+        0.5161350099215216, 0.9529423280719092, 1.9585265339322568,
+        3.768354924995986, 8.324992112166262, 17.43641758838583,
+    ],
+    # translator worker 0, seed key "translator-0"
+    "translator-worker-0": [
+        0.04955002983560078, 0.09936516511971853, 0.1866853924775671,
+        0.3866196436930991, 0.7535751735255429, 1.6156922359521702,
+    ],
+    # fleet restart setup() retries, attempts 1..6 (no jitter)
+    "fleet-restart": [
+        0.32000000000000006, 0.5120000000000001, 0.8192000000000003,
+        1.3107200000000003, 2.0, 2.0,
+    ],
+}
+
+
+@pytest.mark.parametrize("loop", sorted(GOLDEN_BACKOFFS))
+def test_backoff_delays_match_golden_values(loop):
+    from repro.capture import create_client
+    from repro.net import fleet
+
+    env, net, server, received = make_server_world()
+    if loop == "capture-client":
+        client = create_client(
+            net.hosts["edge"].device, server.endpoint, "provlight/edge/data"
+        )
+        delays = [client.reconnect_policy.delay(a) for a in range(6)]
+    elif loop == "translator-worker-0":
+        policy = server.pool.workers[0].restart_policy
+        delays = [policy.delay(a) for a in range(6)]
+    else:
+        delays = [fleet._SETUP_RETRY.delay(a) for a in range(1, 7)]
+    assert delays == GOLDEN_BACKOFFS[loop]

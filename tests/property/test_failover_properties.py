@@ -100,8 +100,8 @@ def test_worker_crashes_never_reorder_a_clients_seq_stream(
 
     server = ProvLightServer(net.hosts["cloud"], FlakyBackend())
     worker = server.pool.workers[0]
-    worker.restart_base_s = 0.005
-    worker.restart_max_s = 0.02
+    worker.restart_policy.base_s = 0.005
+    worker.restart_policy.max_s = 0.02
 
     def feeder(env):
         for seq in range(1, n_records + 1):
