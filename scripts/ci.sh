@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 CI: the static reproducibility lint, the full test suite under
-# the runtime hazard detector, the example smoke tests, then the quick
-# perf regression gate.
+# Tier-1 CI: the static reproducibility lint, the import-cycle check,
+# the full test suite under the runtime hazard detector, the example
+# smoke tests, then the quick perf regression gate.
 #
 # The examples are the library's public face (and the quickest thing a
 # user copies); executing every examples/*.py headlessly means an API
@@ -22,6 +22,11 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # static reproducibility lint (AST determinism/hazard checks; see
 # docs/static-analysis.md for the rule catalog and suppression grammar)
 python scripts/lint.py src tests examples benchmarks --format=text
+
+# import-cycle check: every repro.* module must import first in a fresh
+# interpreter (a cycle only breaks for one import order, which the test
+# suite below may never take)
+python scripts/check_imports.py
 
 # the suite runs under the simkernel runtime hazard detector: every
 # Environment() is a DebugEnvironment, so cross-environment events,

@@ -109,11 +109,9 @@ class ReplayDeduper:
     they straddle.
 
     :meth:`seen` and :meth:`mark` split the check from the record so a
-    crash-supervised sink can check *before* translating but mark only
-    *after* the backend accepted the batch — marking at check time would
-    make a crash-then-requeue drop the requeued records as "duplicates".
-    :meth:`is_duplicate` keeps the one-shot check-and-record semantics
-    for sinks whose ingest cannot crash mid-way.
+    sink can check *before* translating but mark only *after* the
+    backend accepted the batch — marking at check time would make a
+    failed ingest drop the retried or replayed records as "duplicates".
 
     With ``state_path`` every mark is appended to a JSON-lines file and
     the index is rebuilt (then compacted) on construction, so a sink
@@ -154,13 +152,6 @@ class ReplayDeduper:
         if self._state_file is not None:
             self._state_file.write(json.dumps([client_id, seq]) + "\n")
             self._state_file.flush()
-
-    def is_duplicate(self, client_id: str, seq: int) -> bool:
-        """True when this pair was already ingested; records it otherwise."""
-        if self.seen(client_id, seq):
-            return True
-        self.mark(client_id, seq)
-        return False
 
     def floor(self, client_id: str) -> int:
         """Highest contiguous sequence number seen for ``client_id``."""

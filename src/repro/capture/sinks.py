@@ -4,10 +4,11 @@
 cloud side still has to terminate it.  The MQTT-SN sink is the full
 :class:`~repro.core.server.ProvLightServer` (broker + translator pool)
 whose knobs the callers own, but the CoAP server and the blocking-HTTP
-collector are boilerplate — a translator feeding an ingest callable —
-that the experiment harness and the Provenance Manager would otherwise
-each hand-roll.  :func:`deploy_capture_sink` builds them once, so a new
-transport's sink is added here, next to the registry that names it.
+collector are boilerplate — a transport front end over the shared
+:class:`~repro.core.ingest.IngestSink` — that the experiment harness and
+the Provenance Manager would otherwise each hand-roll.
+:func:`deploy_capture_sink` builds them once, so a new transport's sink
+is added here, next to the registry that names it.
 
 Imports are deferred: the protocol stacks import :mod:`repro.capture`
 for their adapters, so importing them at module time would be circular.
@@ -41,7 +42,9 @@ def deploy_capture_sink(
     :func:`~repro.capture.create_client` takes as ``server``.  The
     ``mqttsn`` sink is *not* built here — construct a
     :class:`~repro.core.server.ProvLightServer` directly (its worker and
-    shard knobs belong to the deployment).
+    shard knobs belong to the deployment).  The CoAP server is an
+    :class:`~repro.core.ingest.IngestSink`; the HTTP collector's sink
+    (counters, dedup index) is ``server.sink``.
 
     ``dedup_state_path`` makes the HTTP collector's replay-dedup index
     durable: a restarted collector recovering from the same path keeps
@@ -49,37 +52,31 @@ def deploy_capture_sink(
     so journal replays stay exactly-once across sink restarts.
     """
     transport = normalize_transport(transport)
+    from ..core.server import CallableBackend
+
     if transport == "coap":
         from ..coap import ProvLightCoapServer
-        from ..core.server import CallableBackend
 
         server = ProvLightCoapServer(host, CallableBackend(ingest), target=target)
         return server, server.endpoint
     if transport == "http":
-        from ..core.translator import Translator
+        from ..core.ingest import IngestSink
         from ..http import HttpResponse, HttpServer
-        from .envelope import ReplayDeduper, unwrap_payload
 
-        translator = Translator(target)
-        deduper = ReplayDeduper(state_path=dedup_state_path)
+        sink = IngestSink(CallableBackend(ingest), target=target,
+                          dedup_state_path=dedup_state_path)
 
         def collector(request):
-            try:
-                body = request.body
-                envelope = unwrap_payload(body)
-                if envelope is not None:
-                    client_id, seq, body = envelope
-                    if deduper.is_duplicate(client_id, seq):
-                        # a replayed POST the collector already ingested:
-                        # still 201 so the durable client acks its journal
-                        return HttpResponse(status=201, reason="Created")
-                _, translated = translator.translate_payload(body)
-                ingest(translated)
-            except Exception:  # lint: disable=bare-swallow(wire bytes are untrusted: any malformed envelope/payload is capture loss, and loss must never crash the collector — the durability acceptance tests pin this)
-                pass
+            # no CPU charge: the request service time covers the work.  A
+            # backend error escapes to HttpServer's 500 so a durable client
+            # replays; malformed bytes and replays still get 201 (acked)
+            groups, marks, _work_s = sink.prepare((request.body,))
+            if groups:
+                yield from sink.deliver(groups, marks)
             return HttpResponse(status=201, reason="Created")
 
         server = HttpServer(host, http_port, collector, workers=http_workers)
+        server.sink = sink
         return server, (host.name, http_port)
     raise ValueError(
         f"no capture sink known for transport {transport!r} "

@@ -11,13 +11,12 @@ benchmark quantifies the trade.
 
 from __future__ import annotations
 
-from ..calibration import SERVER_COSTS
 from ..capture import CaptureConfig, CaptureTransport, register_transport
-from ..capture.envelope import ReplayDeduper, unwrap_payload
-from ..core.translator import Translator
+from ..core.ingest import IngestSink
+from ..core.resilience import RetryPolicy
 from ..device import Device
 from ..net import Endpoint, Host
-from ..simkernel import Counter, Store
+from ..simkernel import Store
 from .endpoint import DEFAULT_COAP_PORT, CoapClient, CoapServer
 from .messages import CODE_CHANGED
 
@@ -31,22 +30,17 @@ __all__ = [
 DEFAULT_CAPTURE_PATH = "/prov"
 
 
-class ProvLightCoapServer:
-    """Capture sink: CoAP server + translator + backend."""
+class ProvLightCoapServer(IngestSink):
+    """Capture sink: CoAP server + :class:`IngestSink`.  The POST is ACKed
+    on enqueue, so a failed delivery is retried in place, never dropped."""
 
     def __init__(self, host: Host, backend, port: int = DEFAULT_COAP_PORT,
                  target: str = "dfanalyzer", cipher=None):
+        super().__init__(backend, target=target, cipher=cipher)
         self.host = host
         self.env = host.env
-        self.backend = backend
-        self.translator = Translator(target, cipher=cipher)
         self.server = CoapServer(host, port)
-        self.records_ingested = Counter("records")
-        self.translate_errors = Counter("errors")
-        #: CoAP CON is at-least-once on the wire; durable clients add a
-        #: (client_id, seq) envelope and this index drops the replays
-        self.deduper = ReplayDeduper()
-        self.duplicates_dropped = Counter("duplicates-dropped")
+        self.retry_policy = RetryPolicy(seed_key="coap-prov-translator")
         self._inbox: Store = Store(self.env)
         self.server.route(DEFAULT_CAPTURE_PATH, self._on_post)
         self.env.process(self._work_loop(), name="coap-prov-translator")
@@ -63,32 +57,22 @@ class ProvLightCoapServer:
         device = self.host.device
         while True:
             payload = yield self._inbox.get()
-            try:
-                envelope = unwrap_payload(payload)
-            except Exception:
-                self.translate_errors.record()
+            groups, marks, work = self.prepare((payload,))
+            if not groups:
                 continue
-            if envelope is not None:
-                client_id, seq, payload = envelope
-                if self.deduper.is_duplicate(client_id, seq):
-                    self.duplicates_dropped.record()
-                    continue
-            try:
-                records, translated = self.translator.translate_payload(payload)
-            except Exception:
-                self.translate_errors.record()
-                continue
-            work = SERVER_COSTS.translate_per_message_s
-            if len(records) > 1:
-                work += SERVER_COSTS.translate_group_fixed_s
             if device is not None:
                 yield from device.cpu.run(io_busy_s=work, tag="translator")
             else:
                 yield self.env.timeout(work)
-            # uniform backend protocol: ingest() returns an iterable of
-            # simulation events (empty for synchronous backends)
-            yield from self.backend.ingest(translated)
-            self.records_ingested.record(len(records))
+            attempt = 0
+            while True:
+                try:
+                    yield from self.deliver(groups, marks)
+                    break
+                except Exception:
+                    yield self.env.timeout(self.retry_policy.delay(attempt))
+                    # the delay saturates at max_s long before 2**6
+                    attempt = min(attempt + 1, 6)
 
 
 class CoapCaptureTransport(CaptureTransport):

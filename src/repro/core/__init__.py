@@ -9,6 +9,7 @@ backends).
 
 from .client import MqttSnCaptureTransport
 from .grouping import GroupBuffer
+from .ingest import IngestSink
 from .model import (
     Data,
     Task,
@@ -58,6 +59,7 @@ __all__ = [
     "count_attribute_values",
     "count_attributes_from_record",
     "MqttSnCaptureTransport",
+    "IngestSink",
     "ProvLightServer",
     "TranslatorPool",
     "DEFAULT_TRANSLATOR_WORKERS",

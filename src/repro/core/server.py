@@ -25,14 +25,11 @@ Two layers of the server shard by consistent hashing (the same ring,
   the ring's ~1/K remap with an exactly-once, order-preserving
   hold-buffer handover (see :meth:`TranslatorPool._migrate`).
 
-Backends follow a uniform generator protocol: ``ingest(translated)``
-returns an iterable of simulation events.  Synchronous backends deliver
-inline and return no events; network backends return a generator that
-yields the I/O events of the request.  Backends may additionally expose
-``ingest_batch(batch)`` — same contract, one call per *drained worker
-batch* — which lets a network backend pipeline the whole batch into one
-bulk request instead of one POST per translated group; workers prefer it
-when present.
+Backends follow the generator protocol :class:`~repro.core.ingest.IngestSink`
+drives: ``ingest(translated)`` returns an iterable of simulation events
+(none for synchronous backends, the request's I/O events for network
+ones), and an optional ``ingest_batch(batch)`` lets a network backend
+pipeline a whole drained worker batch into one bulk request.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from collections import deque
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..calibration import SERVER_COSTS, ServerCosts
-from ..capture.envelope import ReplayDeduper, unwrap_payload
 from ..hashring import ConsistentHashRing
 from ..http import HttpSession
 from ..mqttsn import BrokerCluster, DEFAULT_BROKER_PORT, MqttSnClient
@@ -56,7 +52,7 @@ from .resilience import (
     RetryPolicy,
     RetryableBackendError,
 )
-from .translator import Translator
+from .ingest import IngestSink
 
 __all__ = [
     "ProvLightServer",
@@ -507,44 +503,8 @@ class _TranslatorWorker:
                 if self.max_batch > 1:
                     batch.extend(self._inbox.drain_pending(self.max_batch - 1))
             self._inflight = batch
-            costs = server.costs
-            work = 0.0
-            translated_batch: List[Tuple[list, Any]] = []
-            batch_marks: List[Tuple[str, int]] = []
-            marked = set()
-            for _topic, payload in batch:
-                # durable clients wrap payloads in a (client_id, seq)
-                # envelope: peek it *before* paying any translate cost
-                # and drop replays already ingested — this is what turns
-                # the client's at-least-once delivery into exactly-once
-                # backend ingestion.  The pair is only *marked* after the
-                # backend accepts the batch (see below), so a crash in
-                # between re-processes instead of losing the records.
-                try:
-                    envelope = unwrap_payload(payload)
-                except Exception:
-                    server.translate_errors.record()
-                    continue
-                if envelope is not None:
-                    client_id, seq, payload = envelope
-                    if (
-                        server.deduper.seen(client_id, seq)
-                        or (client_id, seq) in marked
-                    ):
-                        server.duplicates_dropped.record()
-                        continue
-                    marked.add((client_id, seq))
-                    batch_marks.append((client_id, seq))
-                try:
-                    records, translated = server.translator.translate_payload(payload)
-                except Exception:
-                    server.translate_errors.record()
-                    continue
-                work += costs.translate_per_message_s
-                if len(records) > 1:
-                    work += costs.translate_group_fixed_s
-                translated_batch.append((records, translated))
-            if not translated_batch:
+            groups, marks, work = server.prepare([p for _topic, p in batch])
+            if not groups:
                 self._inflight = []
                 continue
             # one CPU grant covers the whole drained batch: same simulated
@@ -554,23 +514,7 @@ class _TranslatorWorker:
                 yield from device.cpu.run(io_busy_s=work, tag="translator")
             else:
                 yield self.env.timeout(work)
-            # pipelined ingest: hand the backend the whole drained batch
-            # (one bulk request for network backends) when it supports
-            # it; otherwise fall back to one ingest per translated group
-            backend = server.backend
-            ingest_batch = getattr(backend, "ingest_batch", None)
-            if ingest_batch is not None:
-                yield from ingest_batch([t for _, t in translated_batch])
-            else:
-                for _records, translated in translated_batch:
-                    yield from backend.ingest(translated)
-            # the backend accepted the batch: only now do the dedup marks
-            # become durable facts (no yield between ingest return and
-            # here, so a crash cannot split accept from mark)
-            for client_id, seq in batch_marks:
-                server.deduper.mark(client_id, seq)
-            for records, _translated in translated_batch:
-                server.records_ingested.record(len(records))
+            yield from server.deliver(groups, marks)
             self._inflight = []
             self._batches_completed += 1
 
@@ -936,7 +880,7 @@ class TranslatorPool:
         )
 
 
-class ProvLightServer:
+class ProvLightServer(IngestSink):
     """Sharded broker plane + sharded translator pool on one (cloud) host.
 
     ``broker_shards`` sizes the :class:`~repro.mqttsn.BrokerCluster`
@@ -968,12 +912,12 @@ class ProvLightServer:
         pool_max: Optional[int] = None,
         dedup_state_path: Optional[str] = None,
     ):
+        # one dedup index for every pool worker: re-sharding never unsees a seq
+        super().__init__(backend, target=target, cipher=cipher, costs=costs,
+                         dedup_state_path=dedup_state_path)
         self.host = host
         self.env = host.env
         self.port = port
-        self.backend = backend
-        self.costs = costs
-        self.translator = Translator(target, cipher=cipher)
         self.broker = BrokerCluster(
             host, port,
             shards=broker_shards,
@@ -989,16 +933,6 @@ class ProvLightServer:
         #: seed's translator-per-topic bookkeeping): the worker shard
         #: each ``add_translator`` call landed on.
         self.translators: List[_TranslatorWorker] = []
-        self.records_ingested = Counter("records-ingested")
-        self.translate_errors = Counter("translate-errors")
-        #: replay dedup shared by every pool worker — a client publishes
-        #: to one topic, so all its payloads land on one worker, but the
-        #: index is server-wide so re-sharding can never unsee a seq.
-        #: With ``dedup_state_path`` the index survives a server restart,
-        #: so a sink crash does not re-ingest records that durable
-        #: clients replay on reconnect.
-        self.deduper = ReplayDeduper(state_path=dedup_state_path)
-        self.duplicates_dropped = Counter("duplicates-dropped")
 
     def add_translator(self, topic_filter: str):
         """Generator: attach ``topic_filter`` to the translator pool.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List
 
-from ..capture.envelope import unwrap_payload
 from .provdm import document_from_records
 from .serialization import decode_payload
 
@@ -33,16 +32,12 @@ class TranslationError(ValueError):
 def records_from_payload(payload: bytes, cipher=None) -> List[Dict[str, Any]]:
     """Decode a wire payload into a list of records.
 
-    A payload is either one record (dict) or a group (list of dicts),
-    optionally wrapped in a durable-capture dedup envelope (stripped
-    transparently here; *deduplication* is the sink's job, the decode
-    path must just never choke on an enveloped payload).  The decoder
-    only ever produces plain dicts/lists, so exact type checks suffice
-    on this per-message path.
+    A payload is either one record (dict) or a group (list of dicts).
+    Durable-capture dedup envelopes are stripped by the sink
+    (:class:`~repro.core.ingest.IngestSink`) before this is called.  The
+    decoder only ever produces plain dicts/lists, so exact type checks
+    suffice on this per-message path.
     """
-    envelope = unwrap_payload(payload)
-    if envelope is not None:
-        payload = envelope[2]
     value = decode_payload(payload, cipher=cipher)
     if type(value) is dict:
         return [value]

@@ -14,12 +14,12 @@ from repro.capture import (
     CaptureClosedError,
     CaptureConfig,
     create_client,
+    deploy_capture_sink,
     transport_names,
 )
 from repro.coap import ProvLightCoapServer
 from repro.core import CallableBackend, Data, ProvLightServer, Task, Workflow
 from repro.device import A8M3, Device
-from repro.http import HttpResponse, HttpServer
 from repro.net import Network
 from repro.simkernel import Environment
 
@@ -77,11 +77,7 @@ def make_world(transport, group_size=0, latency=0.01, bandwidth=1e9,
         client = create_client(dev, endpoint, "/prov", config)
     elif transport == "http":
         if with_server:
-            def handler(request):
-                received.append(request.body)
-                return HttpResponse(status=201)
-
-            HttpServer(net.hosts["cloud"], 5000, handler)
+            deploy_capture_sink("http", net.hosts["cloud"], received.extend)
         client = create_client(dev, ("cloud", 5000), "/provlight", config)
     else:  # a transport someone registered without extending this suite
         pytest.skip(f"no conformance world for transport {transport!r}")
