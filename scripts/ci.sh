@@ -71,4 +71,8 @@ python examples/elastic_fanin.py
 # must be detected
 python3 perfbench/selftest.py
 
+# bit-identical outputs at full size: the capture workloads must match
+# their reference digests (perfbench/run.py itself exits 0 on a mismatch)
+python scripts/check_reference_digests.py
+
 python scripts/run_benchmarks.py --quick

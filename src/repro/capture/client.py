@@ -298,7 +298,7 @@ class CaptureClient:
             self._outstanding -= 1
         self._replay.clear()
         if self._sender is not None:
-            self._queue.put(_CLOSE)
+            self._queue.put_nowait(_CLOSE)
         gate, self._pause_gate = self._pause_gate, None
         if gate is not None:
             gate.succeed()  # let a parked sender observe _closed and exit
@@ -367,7 +367,7 @@ class CaptureClient:
         self.device.memory.allocate(nbytes, tag="capture-buffers")
         self._outstanding += 1
         if not self.transport.blocking:
-            self._queue.put((wire, nbytes, seq))
+            self._queue.put_nowait((wire, nbytes, seq))
             return
         delivered = True
         try:
@@ -515,6 +515,8 @@ class CaptureClient:
                     yield done
                 except Exception:
                     break  # still unreachable: back off and re-probe
+                if self._closed:
+                    return  # close() released the entry; the journal keeps it
                 self._replay.pop(0)
                 self.replayed.record()
                 self._complete(wire, nbytes, seq, delivered=True)

@@ -153,7 +153,7 @@ class CoapClient:
         done = self.env.event()
         self._pending[mid] = done
         self.sock.sendto(request.encode(), self.server)
-        self.env.process(self._retransmit(request, mid, 0), name=f"coap-rtx-{mid}")
+        self.env.call_later(self.ack_timeout_s, self._retransmit, request, mid, 0)
         response = yield done
         return response
 
@@ -170,11 +170,12 @@ class CoapClient:
         done = self.env.event()
         self._pending[mid] = done
         self.sock.sendto(request.encode(), self.server)
-        self.env.process(self._retransmit(request, mid, 0), name=f"coap-rtx-{mid}")
+        self.env.call_later(self.ack_timeout_s, self._retransmit, request, mid, 0)
         return done
 
-    def _retransmit(self, request: CoapMessage, mid: int, attempt: int):
-        yield self.env.timeout(self.ack_timeout_s * (2 ** attempt))
+    def _retransmit(self, request: CoapMessage, mid: int, attempt: int) -> None:
+        """ACK deadline of one confirmable request (a kernel timer
+        callback); the next deadline doubles the timeout."""
         event = self._pending.get(mid)
         if event is None or event.triggered:
             return
@@ -183,6 +184,7 @@ class CoapClient:
             event.fail(CoapTimeout(f"CON {mid} exhausted retransmissions"))
             return
         self.sock.sendto(request.encode(), self.server)
-        self.env.process(
-            self._retransmit(request, mid, attempt + 1), name=f"coap-rtx-{mid}"
+        self.env.call_later(
+            self.ack_timeout_s * (2 ** (attempt + 1)),
+            self._retransmit, request, mid, attempt + 1,
         )

@@ -50,7 +50,7 @@ class ProvLightCoapServer(IngestSink):
         return (self.host.name, self.server.port)
 
     def _on_post(self, path, payload):
-        self._inbox.put(payload)
+        self._inbox.put_nowait(payload)
         return CODE_CHANGED, b""
 
     def _work_loop(self):

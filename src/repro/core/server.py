@@ -391,7 +391,7 @@ class _TranslatorWorker:
 
     def _on_message(self, topic: str, payload: bytes) -> None:
         """Inbound PUBLISH handler: enqueue and nudge the autoscaler."""
-        self._inbox.put((topic, payload))
+        self._inbox.put_nowait((topic, payload))
         if self.pool is not None:
             self.pool._wake_autoscaler()
 
@@ -842,7 +842,7 @@ class TranslatorPool:
             old.topic_filters.remove(pattern)
         new.client.unbind_filter(pattern, collect)
         for item in hold:
-            new._inbox.put(item)
+            new._inbox.put_nowait(item)
         new.client.bind_filter(pattern, new._on_message)
         new.topic_filters.append(pattern)
         self.migrated_filters.record()

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = ["MeanCI", "mean_ci", "relative_overhead", "speedup"]
 
@@ -43,6 +42,10 @@ class MeanCI:
 
 def mean_ci(values: Sequence[float], confidence: float = 0.95) -> MeanCI:
     """Mean and Student-t confidence half-width of ``values``."""
+    # imported here, not at module level: scipy.stats is most of the
+    # library's import time and nothing else needs it
+    from scipy import stats as _scipy_stats
+
     data = np.asarray(list(values), dtype=float)
     if data.size == 0:
         raise ValueError("mean_ci of empty sequence")

@@ -332,9 +332,9 @@ class MqttSnBroker:
                     tracked.append(msg_id)
             if tracked:
                 # one retry timer covers the whole coalesced group
-                self.env.process(
-                    self._retry_outbound(session.endpoint, tracked, 0),
-                    name="broker-qos-retry",
+                self.env.call_later(
+                    self.retry_interval_s, self._retry_outbound,
+                    session.endpoint, tracked, 0,
                 )
 
     def _deliver(
@@ -377,9 +377,9 @@ class MqttSnBroker:
             self._outbound[(session.endpoint, msg_id)] = out
         return msg_id
 
-    def _retry_outbound(self, dest: Endpoint, msg_ids: List[int], attempt: int):
-        """Retry timer for one coalesced delivery group towards ``dest``."""
-        yield self.env.timeout(self.retry_interval_s)
+    def _retry_outbound(self, dest: Endpoint, msg_ids: List[int], attempt: int) -> None:
+        """Retry deadline of one coalesced delivery group towards ``dest``
+        (a kernel timer callback)."""
         if self.crashed:
             return  # broker died with the timer armed; nothing to retry
         outstanding = [m for m in msg_ids if (dest, m) in self._outbound]
@@ -397,9 +397,8 @@ class MqttSnBroker:
             else:
                 out.message.dup = True
                 self._send(out.message, dest)
-        self.env.process(
-            self._retry_outbound(dest, outstanding, attempt + 1),
-            name="broker-qos-retry",
+        self.env.call_later(
+            self.retry_interval_s, self._retry_outbound, dest, outstanding, attempt + 1
         )
 
     def __repr__(self) -> str:

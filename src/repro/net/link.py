@@ -26,15 +26,32 @@ uplinks actually exhibit:
 Parameters may be changed at runtime (the E2Clab network manager does
 this to emulate ``tc netem`` reconfiguration); queued packets pick up the
 new values when they reach the head of the queue.
+
+The transmitter is a FIFO deque and a busy flag, not a process: a packet
+reaching an idle transmitter starts serializing at once, and the timer
+that ends its serialization starts the next queued one.  A packet reads
+the link's state at two moments:
+
+* when it starts serializing: ``bandwidth_bps``, so
+  :meth:`Link.configure` reaches every packet not yet on the wire, never
+  the one being serialized;
+* when its serialization ends: ``up`` (:meth:`Link.partition`), then the
+  loss draws (Gilbert-Elliott transition, then uniform), then
+  ``latency_s`` and the jitter draw, in that rng order.  A packet
+  already propagating is beyond the reach of partitions and loss.
+
+Propagation is a kernel callback timer (``Environment.call_later``), so
+a hop costs two timers and no process.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Deque, Optional, Tuple
 
 import numpy as np
 
-from ..simkernel import Counter, Environment, Store
+from ..simkernel import Counter, Environment
 from .packet import Packet
 
 __all__ = ["Link"]
@@ -86,10 +103,11 @@ class Link:
         #: administratively up; False drops everything (partition)
         self.up = True
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._queue: Store = Store(env)
+        #: packets waiting for the transmitter (the one on the wire excluded)
+        self._queue: Deque[Tuple[Packet, DeliverFn]] = deque()
+        self._busy = False
         self.tx_bytes = Counter(f"{src}->{dst}")
         self.dropped = Counter(f"{src}->{dst} drops")
-        env.process(self._pump(), name=f"link-{src}->{dst}")
 
     # -- configuration (netem-style) ----------------------------------------
     def configure(
@@ -146,27 +164,35 @@ class Link:
     # -- transmission -----------------------------------------------------------
     def send(self, packet: Packet, deliver: DeliverFn) -> None:
         """Enqueue ``packet``; call ``deliver(packet)`` at the far end."""
-        self._queue.put((packet, deliver))
+        if self._busy:
+            self._queue.append((packet, deliver))
+        else:
+            self._serialize(packet, deliver)
 
     @property
     def queued_packets(self) -> int:
-        """Packets waiting for (or in) serialization."""
-        return len(self._queue.items)
+        """Packets waiting for serialization (not the one being serialized)."""
+        return len(self._queue)
 
-    def _pump(self):
-        env = self.env
-        while True:
-            packet, deliver = yield self._queue.get()
-            # serialization (transmitter occupied)
-            yield env.timeout(packet.size * 8.0 / self.bandwidth_bps)
-            self.tx_bytes.record(packet.size)
-            if not self.up or self._drop(packet):
-                self.dropped.record(packet.size)
-                continue
+    def _serialize(self, packet: Packet, deliver: DeliverFn) -> None:
+        self._busy = True
+        self.env.call_later(
+            packet.size * 8.0 / self.bandwidth_bps, self._serialized, packet, deliver
+        )
+
+    def _serialized(self, packet: Packet, deliver: DeliverFn) -> None:
+        self.tx_bytes.record(packet.size)
+        if not self.up or self._drop(packet):
+            self.dropped.record(packet.size)
+        else:
             delay = self.latency_s
             if self.jitter_s > 0.0:
                 delay = max(0.0, delay + float(self.rng.normal(0.0, self.jitter_s)))
-            env.process(self._propagate(delay, packet, deliver), name="link-propagate")
+            self.env.call_later(delay, deliver, packet)
+        if self._queue:
+            self._serialize(*self._queue.popleft())
+        else:
+            self._busy = False
 
     def _drop(self, packet: Packet) -> bool:
         """Sample the loss model for one packet (advances burst state)."""
@@ -182,10 +208,6 @@ class Link:
         else:
             rate = self.loss
         return rate > 0.0 and self.rng.random() < rate
-
-    def _propagate(self, delay: float, packet: Packet, deliver: DeliverFn):
-        yield self.env.timeout(delay)
-        deliver(packet)
 
     def __repr__(self) -> str:
         state = "" if self.up else " DOWN"

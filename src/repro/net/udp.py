@@ -67,7 +67,7 @@ class UdpSocket:
 
     def _deliver(self, packet: Packet) -> None:
         if not self.closed:
-            self._inbox.put((packet.payload, packet.src))
+            self._inbox.put_nowait((packet.payload, packet.src))
 
     def close(self) -> None:
         """Unbind the socket; further sends/recvs raise."""

@@ -5,8 +5,11 @@ A compact, dependency-free DES engine in the generator-coroutine style:
 :class:`Event` objects (timeouts, resource requests, store gets, ...).
 
 This kernel is the substrate every other ``repro`` subsystem runs on —
-network links, protocol stacks, devices and workloads are all processes in
-one environment, sharing one simulated clock.
+network links, protocol stacks, devices and workloads share one
+environment and one simulated clock.  Code that waits is a process;
+fire-and-forget work (a packet hop, a retry deadline, an enqueue nobody
+waits on) uses :meth:`Environment.call_later` and
+:meth:`Store.put_nowait`, which schedule no extra events.
 """
 
 from .core import (

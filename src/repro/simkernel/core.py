@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from .events import (
     NORMAL,
@@ -136,6 +136,21 @@ class Environment:
         self._eid = eid = self._eid + 1
         heappush(self._queue, (self._now + delay, NORMAL, eid, event))
         return event
+
+    def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> Timeout:
+        """Call ``fn(*args)`` ``delay`` seconds from now, with no process.
+
+        For fire-and-forget timers (a packet's propagation, a QoS retry
+        deadline) whose only job is to run one function later: a
+        process would cost an :class:`Initialize` event, a generator and
+        a finish event on top of the timer.  Built on :meth:`timeout`,
+        so a negative delay raises and the debug kernel checks the
+        schedule as for any other timeout.  Returns the timer event;
+        nobody needs to keep it.
+        """
+        timer = self.timeout(delay)
+        timer.callbacks.append(lambda _event: fn(*args))
+        return timer
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process from ``generator``."""

@@ -267,6 +267,21 @@ class Store:
         """Queue ``item``; blocks (as an event) while the store is full."""
         return _StorePut(self, item)
 
+    def put_nowait(self, item: Any) -> None:
+        """Queue ``item`` now, with no put event: for producers that never
+        wait on the put (a packet arriving, a message handed to a worker).
+
+        Parked getters are woken exactly as by :meth:`put`, in the same
+        FIFO order; only the put's own no-op event is skipped.  Raises
+        :class:`RuntimeError` when the store is full, since there is no
+        event to block on.
+        """
+        if len(self.items) >= self._capacity:
+            raise RuntimeError(f"store is full ({self._capacity:g} items)")
+        self._append(item)
+        if self._get_waiters:
+            self._trigger()
+
     def get(self) -> _StoreGet:
         """Pop the oldest item; blocks (as an event) while empty."""
         return _StoreGet(self)
@@ -290,9 +305,12 @@ class Store:
             self._trigger()
         return drained
 
+    def _append(self, item: Any) -> None:
+        self.items.append(item)
+
     def _do_put(self, event: _StorePut) -> bool:
         if len(self.items) < self._capacity:
-            self.items.append(event.item)
+            self._append(event.item)
             event.succeed()
             return True
         return False
@@ -378,12 +396,8 @@ class PriorityItem:
 class PriorityStore(Store):
     """Store that always yields the smallest item (heap ordered)."""
 
-    def _do_put(self, event: _StorePut) -> bool:
-        if len(self.items) < self._capacity:
-            heapq.heappush(self.items, event.item)
-            event.succeed()
-            return True
-        return False
+    def _append(self, item: Any) -> None:
+        heapq.heappush(self.items, item)
 
     def _do_get(self, event: _StoreGet) -> bool:
         if self.items:
